@@ -765,6 +765,19 @@ impl Core {
         }
     }
 
+    /// Moves the commit events recorded since the last drain into `buf`,
+    /// replacing its contents, without allocating: the two buffers are
+    /// swapped, so `buf`'s cleared allocation becomes the core's
+    /// recording buffer. A caller that drains on a fixed cycle cadence
+    /// thus ping-pongs two allocations sized to one cadence's commits.
+    /// `buf` ends empty if tracing is disabled.
+    pub fn drain_commit_trace_into(&mut self, buf: &mut Vec<CommitEvent>) {
+        buf.clear();
+        if let Some(t) = self.trace.as_mut() {
+            std::mem::swap(t, buf);
+        }
+    }
+
     /// Turns on the instruction-lifecycle tracer with a ring buffer of
     /// `capacity` records (the one allocation tracing ever performs).
     /// Every subsequent pipeline transition — fetch, rename, dispatch,

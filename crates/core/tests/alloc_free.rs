@@ -5,7 +5,10 @@
 //! the pipeline structures and is reused cycle after cycle.
 //!
 //! The binary installs [`orinoco_util::alloc_counter::CountingAlloc`] as
-//! the global allocator and snapshots its counter around a measured run.
+//! the global allocator and snapshots the measuring thread's own tally
+//! around a measured run. The per-thread tally matters: the harness runs
+//! the two tests below in parallel, and the process-wide counter would
+//! also count the sibling test's set-up, harness and teardown allocations.
 //! The kernel mixes ALU ops, long-latency multiplies, and data-dependent
 //! (hence mispredicting) branches, so the measured window exercises the
 //! issue, wakeup, unordered-commit, squash and re-inject paths — not just
@@ -19,7 +22,7 @@
 
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind};
 use orinoco_isa::{ArchReg, Emulator, ProgramBuilder};
-use orinoco_util::alloc_counter::{alloc_count, CountingAlloc};
+use orinoco_util::alloc_counter::{alloc_count_this_thread, trap_on_next_alloc, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -72,15 +75,17 @@ fn measure_steady_state(core: &mut Core) -> u64 {
     assert!(!core.finished(), "kernel drained during warmup");
 
     const MEASURED: u64 = 20_000;
+    // Both the trap and the tally are per-thread: only this test's own
+    // measured loop can trip or tick them.
     if std::env::var_os("ORINOCO_ALLOC_TRAP").is_some() {
-        orinoco_util::alloc_counter::trap_on_next_alloc(true);
+        trap_on_next_alloc(true);
     }
-    let before = alloc_count();
+    let before = alloc_count_this_thread();
     for _ in 0..MEASURED {
         core.step();
     }
-    orinoco_util::alloc_counter::trap_on_next_alloc(false);
-    let allocs = alloc_count() - before;
+    trap_on_next_alloc(false);
+    let allocs = alloc_count_this_thread() - before;
 
     assert!(!core.finished(), "kernel drained during measurement");
     let stats = core.stats();

@@ -6,6 +6,7 @@
 //! it commits must equal what this interpreter computes.
 
 use crate::{ArchReg, InstClass, Opcode, Program, NUM_ARCH_REGS};
+use orinoco_util::fnv;
 
 /// One dynamically executed instruction, as consumed by the timing model.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,17 +88,6 @@ pub const CHECKPOINT_FILE_MAGIC: [u8; 7] = *b"ORCKPT1";
 
 /// Current `ORCKPT1` container version.
 pub const CHECKPOINT_FILE_VERSION: u8 = 1;
-
-/// FNV-1a over `bytes` (the container checksum; `orinoco-isa` is
-/// dependency-free, so the hash lives here too).
-fn ckpt_fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A restorable architectural checkpoint: everything the emulator needs to
 /// resume mid-program except the (static, regenerable) [`Program`] itself.
@@ -214,7 +204,7 @@ impl EmuCheckpoint {
         out.push(CHECKPOINT_FILE_VERSION);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&payload);
-        out.extend_from_slice(&ckpt_fnv64(&payload).to_le_bytes());
+        out.extend_from_slice(&fnv::bytes(&payload).to_le_bytes());
         out
     }
 
@@ -250,7 +240,7 @@ impl EmuCheckpoint {
             .get(payload_end..payload_end + 8)
             .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
             .ok_or("checkpoint file truncated at checksum")?;
-        if sum != ckpt_fnv64(payload) {
+        if sum != fnv::bytes(payload) {
             return Err("checkpoint file checksum mismatch".to_owned());
         }
         if bytes.len() != payload_end + 8 {
@@ -496,13 +486,9 @@ impl Emulator {
     /// evidence for two architectural memories without copying either.
     #[must_use]
     pub fn mem_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for chunk in self.memory.chunks_exact(8) {
-            let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        self.memory.chunks_exact(8).fold(fnv::OFFSET, |h, chunk| {
+            fnv::word(h, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
+        })
     }
 
     /// Runs to completion invoking `hook` after every instruction with the

@@ -28,11 +28,13 @@
 #![warn(clippy::all)]
 
 pub mod cache;
+pub mod digest;
 pub mod net;
 pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, ResultCache};
+pub use digest::CommitDigest;
 pub use net::{TcpClient, TcpFront};
 pub use protocol::{
     ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec,

@@ -131,7 +131,15 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
 /// Runs one connection to completion: reader loop on this thread, writer
 /// loop on a helper thread fed by the same channel the job system sends
 /// responses into.
+///
+/// Nagle's algorithm is switched off first. A job answers with two
+/// frames, `Accepted` then `Done`; with Nagle on, `Done` waits for the
+/// ACK of `Accepted`, which a client with nothing to send delays by up
+/// to 40 ms (delayed ACK) — longer than a cache hit or a short sim takes.
 fn serve_connection(stream: TcpStream, inner: &Arc<crate::server::ServerInner>) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let (tx, rx) = std::sync::mpsc::channel::<Response>();
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -179,9 +187,12 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a [`TcpFront`].
+    /// Connects to a [`TcpFront`], with Nagle's algorithm off so a
+    /// request frame is sent at once (see `serve_connection`).
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpClient> {
-        Ok(TcpClient { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(TcpClient { stream })
     }
 
     /// Sends one request.

@@ -22,6 +22,7 @@ use orinoco_core::{
     CommitKind, CoreConfig, SampleConfig, SchedulerKind, DEFAULT_JITTER_SEED,
     DEFAULT_MAX_CYCLES_PER_INTERVAL,
 };
+use orinoco_util::fnv;
 use orinoco_verif::{CampaignChunk, FfEqChunk};
 use orinoco_workloads::Workload;
 
@@ -71,29 +72,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Second offset basis for the high half of 128-bit keys: the canonical
+/// Offset basis for the high half of 128-bit keys: the canonical FNV
 /// basis XORed with an arbitrary odd constant, giving an independent
 /// stream over the same bytes.
-const FNV_OFFSET_HI: u64 = FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15;
-
-/// FNV-1a over `bytes` from an explicit basis.
-#[must_use]
-pub fn fnv64_from(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a from the canonical basis (frame checksums, digests).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_from(FNV_OFFSET, bytes)
-}
+const FNV_OFFSET_HI: u64 = fnv::OFFSET ^ 0x9E37_79B9_7F4A_7C15;
 
 // ---------------------------------------------------------------------------
 // Encode / decode primitives
@@ -207,7 +189,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&FRAME_MAGIC);
     put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(payload);
-    put_u64(&mut out, fnv64(payload));
+    put_u64(&mut out, fnv::bytes(payload));
     out
 }
 
@@ -225,7 +207,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
     }
     let payload = r.take(len as usize, "frame payload")?;
     let sum = r.u64("frame checksum")?;
-    if sum != fnv64(payload) {
+    if sum != fnv::bytes(payload) {
         return Err(WireError::BadChecksum);
     }
     Ok((payload, 20 + len as usize))
@@ -602,8 +584,8 @@ impl JobSpec {
             JobSpec::VerifChunk(_) | JobSpec::FfeqChunk(_) => {}
         }
         let bytes = canon.encode();
-        let lo = fnv64_from(FNV_OFFSET, &bytes);
-        let hi = fnv64_from(FNV_OFFSET_HI, &bytes);
+        let lo = fnv::bytes(&bytes);
+        let hi = fnv::bytes_from(FNV_OFFSET_HI, &bytes);
         (u128::from(hi) << 64) | u128::from(lo)
     }
 }
@@ -680,7 +662,10 @@ pub struct SimResult {
     pub committed: u64,
     /// Full `SimStats` Debug rendering.
     pub stats_debug: String,
-    /// FNV-1a over every commit-event Debug line (order-sensitive).
+    /// Order-sensitive FNV-1a fingerprint of the commit-event stream,
+    /// folded a `u64` word per field with every `Option` tagged — see
+    /// [`crate::digest::CommitDigest`] for the exact encoding. No text is
+    /// formatted; the stream is digested in bounded chunks as it commits.
     pub commit_digest: u64,
     /// FNV-1a over `stats_debug`.
     pub stats_digest: u64,

@@ -33,10 +33,12 @@
 //! runs on a fresh lane. Failures are not cached.
 
 use crate::cache::{Admission, CacheStats, ResultCache, Ticket};
+use crate::digest::CommitDigest;
 use crate::protocol::{
-    fnv64, fnv64_from, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult, SimSpec,
+    JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult, SimSpec,
 };
-use orinoco_core::{run_sampled, Core, Fleet};
+use orinoco_core::{run_sampled, CommitEvent, Core, Fleet};
+use orinoco_util::fnv;
 use orinoco_util::mailbox::Dispatcher;
 use orinoco_verif::{campaign_chunk, ffeq_chunk};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,10 +46,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, Once};
 
-/// Per-worker long-lived state: a warm core pool. Lives on the worker
-/// thread for the server's whole life, so same-shape jobs reuse lanes.
+/// Per-worker long-lived state: a warm core pool and the commit-event
+/// buffer sim jobs drain into. Lives on the worker thread for the
+/// server's whole life, so same-shape jobs reuse lanes and no job
+/// allocates its own commit buffer.
 pub struct WorkerCtx {
     fleet: Fleet,
+    events: Vec<CommitEvent>,
 }
 
 /// Shared server state reachable from jobs and transports.
@@ -91,7 +96,10 @@ impl Server {
     pub fn new(workers: usize) -> Self {
         silence_panics_once();
         let inner = Arc::new(ServerInner {
-            dispatcher: Dispatcher::new(workers, |_| WorkerCtx { fleet: Fleet::new() }),
+            dispatcher: Dispatcher::new(workers, |_| WorkerCtx {
+                fleet: Fleet::new(),
+                events: Vec::new(),
+            }),
             cache: ResultCache::new(),
             next_job: AtomicU64::new(1),
             next_queue: AtomicU64::new(1),
@@ -203,7 +211,7 @@ fn run_primary(
         let _ = tx.send(Response::Progress { job_id, cycles, committed, stalls });
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
-        JobSpec::Sim(sim) => Ok(JobResult::Sim(run_sim_on_fleet(&mut ctx.fleet, &sim, progress))),
+        JobSpec::Sim(sim) => Ok(JobResult::Sim(run_sim_on_fleet(ctx, &sim, progress))),
         JobSpec::VerifChunk(c) => {
             Ok(JobResult::Verif(campaign_chunk(c.campaign_seed, c.start, c.count, c.programs)))
         }
@@ -250,28 +258,46 @@ fn build_emulator(spec: &SimSpec) -> orinoco_isa::Emulator {
     emu
 }
 
+/// Cycles between commit-trace drains in [`execute_sim`]. Bounds a job's
+/// buffered commit events to what one such span commits, whatever the
+/// job's length; the digest does not depend on it.
+const DIGEST_CHUNK_CYCLES: u64 = 1024;
+
 /// Runs a sim to completion on `core`, streaming progress every
 /// `progress_cycles` cycles, and harvests the observables. Shared by the
 /// pooled server path and the serial one-shot reference path — the
 /// cache-determinism contract is that both produce byte-identical
 /// [`SimResult`]s.
 ///
+/// The commit stream is drained every [`DIGEST_CHUNK_CYCLES`] (and at
+/// every progress point) into `events`, a buffer reused across chunks
+/// and jobs, and folded into the [`CommitDigest`]. `run_until` is
+/// resumable, so neither the drain cadence nor `progress_cycles` changes
+/// the result.
+///
 /// # Panics
 ///
 /// Panics if the core fails to finish within the cycle budget (deadlock
 /// or overrun), mirroring `Core::run` / `Fleet::run_batch`.
-fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u64, String)) -> SimResult {
+fn execute_sim(
+    core: &mut Core,
+    spec: &SimSpec,
+    events: &mut Vec<CommitEvent>,
+    mut progress: impl FnMut(u64, u64, String),
+) -> SimResult {
     let max_cycles =
         if spec.max_cycles == 0 { SimSpec::DEFAULT_MAX_CYCLES } else { spec.max_cycles };
     let slice = if spec.progress_cycles == 0 { max_cycles } else { spec.progress_cycles };
     core.enable_commit_trace();
-    let mut commit_digest = fnv64(b"");
+    let mut digest = CommitDigest::new();
+    let mut next_progress = slice.min(max_cycles);
     let mut limit = 0u64;
     loop {
-        limit = limit.saturating_add(slice).min(max_cycles);
+        limit = limit.saturating_add(DIGEST_CHUNK_CYCLES).min(next_progress);
         let finished = core.run_until(limit);
-        for ev in core.drain_commit_trace() {
-            commit_digest = fnv64_from(commit_digest, format!("{ev:?}\n").as_bytes());
+        core.drain_commit_trace_into(events);
+        for ev in events.iter() {
+            digest.push(ev);
         }
         if finished {
             break;
@@ -282,19 +308,22 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
             spec.workload,
             spec.seed,
         );
-        // Mid-run, `SimStats::cycles` is not yet finalised; the live
-        // clock is `Core::cycle` (same counter `run_to_commit` documents).
-        let cycle = core.cycle();
-        let stats = core.stats();
-        progress(cycle, stats.committed, format!("{:?}", stats.stall_taxonomy));
+        if limit == next_progress {
+            // Mid-run, `SimStats::cycles` is not yet finalised; the live
+            // clock is `Core::cycle` (same counter `run_to_commit` documents).
+            let cycle = core.cycle();
+            let stats = core.stats();
+            progress(cycle, stats.committed, format!("{:?}", stats.stall_taxonomy));
+            next_progress = next_progress.saturating_add(slice).min(max_cycles);
+        }
     }
     let stats = core.stats();
     let stats_debug = format!("{stats:?}");
     SimResult {
         cycles: stats.cycles,
         committed: stats.committed,
-        stats_digest: fnv64(stats_debug.as_bytes()),
-        commit_digest,
+        stats_digest: fnv::bytes(stats_debug.as_bytes()),
+        commit_digest: digest.value(),
         stats_debug,
     }
 }
@@ -302,13 +331,14 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
 /// Server-side sim execution: the core comes out of the worker's warm
 /// fleet; a panicking run discards the lane (`Fleet::with_lane`).
 fn run_sim_on_fleet(
-    fleet: &mut Fleet,
+    ctx: &mut WorkerCtx,
     spec: &SimSpec,
     progress: impl FnMut(u64, u64, String),
 ) -> SimResult {
     let cfg = spec.config.to_core_config(spec.seed);
     let emu = build_emulator(spec);
-    fleet.with_lane(cfg, emu, |core| execute_sim(core, spec, progress))
+    let events = &mut ctx.events;
+    ctx.fleet.with_lane(cfg, emu, |core| execute_sim(core, spec, events, progress))
 }
 
 /// Server-side sampling execution. Validation failures come back as
@@ -332,7 +362,7 @@ fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
         weight_sum: stats.weight_sum(),
         est_cpi_bits: stats.est_cpi().to_bits(),
         rel_ci95_bits: stats.rel_ci95().to_bits(),
-        summary_digest: fnv64(summary.as_bytes()),
+        summary_digest: fnv::bytes(summary.as_bytes()),
         summary,
     })
 }
@@ -345,7 +375,7 @@ pub fn run_one_shot(spec: &SimSpec) -> Result<SimResult, String> {
     let emu = build_emulator(spec);
     catch_unwind(AssertUnwindSafe(|| {
         let mut core = Core::new(emu, cfg);
-        execute_sim(&mut core, spec, |_, _, _| {})
+        execute_sim(&mut core, spec, &mut Vec::new(), |_, _, _| {})
     }))
     .map_err(|p| panic_message(&*p))
 }

@@ -5,28 +5,54 @@
 //! state (see DESIGN.md §"Performance engineering"); this module provides
 //! the measurement half of that contract. Installing [`CountingAlloc`] as
 //! the `#[global_allocator]` of a test or bench binary makes every heap
-//! allocation tick a process-wide counter that [`alloc_count`] reads:
+//! allocation tick a process-wide counter ([`alloc_count`]) and the
+//! allocating thread's own tally ([`alloc_count_this_thread`]):
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: orinoco_util::alloc_counter::CountingAlloc =
 //!     orinoco_util::alloc_counter::CountingAlloc;
 //!
-//! let before = orinoco_util::alloc_counter::alloc_count();
+//! let before = orinoco_util::alloc_counter::alloc_count_this_thread();
 //! hot_loop();
-//! assert_eq!(orinoco_util::alloc_counter::alloc_count(), before);
+//! assert_eq!(orinoco_util::alloc_counter::alloc_count_this_thread(), before);
 //! ```
 //!
-//! The counters are always compiled in (they are two relaxed atomics — far
-//! below measurement noise) but only advance in binaries that actually
-//! install the allocator, so the library itself imposes no policy.
+//! A test that measures one thread's hot loop must use the per-thread
+//! tally: the process-wide count also picks up whatever sibling tests
+//! (the harness runs them in parallel), their harness bookkeeping and
+//! their teardown allocate meanwhile.
+//!
+//! The counters are always compiled in (relaxed atomics plus a
+//! const-initialised thread-local cell — far below measurement noise) but
+//! only advance in binaries that actually install the allocator, so the
+//! library itself imposes no policy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static TRAP: AtomicBool = AtomicBool::new(false);
+
+// Const-initialised and free of destructors, so touching them from inside
+// the allocator never allocates or registers a thread-exit hook.
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_TRAP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation of `bytes` globally and on the calling thread,
+/// first panicking if this thread's trap is armed (disarming it, so the
+/// panic machinery can allocate freely).
+fn record(bytes: usize, what: &str) {
+    if THREAD_TRAP.try_with(|t| t.replace(false)).unwrap_or(false) {
+        panic!("heap {what} of {bytes} bytes while trapped");
+    }
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// A `GlobalAlloc` that forwards to [`System`] and counts every
 /// allocation and reallocation (frees are not counted — the contract under
@@ -34,14 +60,10 @@ static TRAP: AtomicBool = AtomicBool::new(false);
 pub struct CountingAlloc;
 
 // SAFETY: pure pass-through to `System`; the counters are relaxed atomics
-// with no effect on allocation behaviour.
+// and thread-local cells with no effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRAP.swap(false, Ordering::SeqCst) {
-            panic!("heap allocation of {} bytes while trapped", layout.size());
-        }
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(layout.size(), "allocation");
         unsafe { System.alloc(layout) }
     }
 
@@ -50,22 +72,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRAP.swap(false, Ordering::SeqCst) {
-            panic!("heap reallocation to {new_size} bytes while trapped");
-        }
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        record(new_size, "reallocation");
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Arms (or disarms) the allocation trap: the **next** allocation or
-/// reallocation panics with a backtrace pointing at the allocation site,
-/// then the trap disarms itself (so the panic machinery can allocate
-/// freely). A debugging aid for hunting stray allocations that
-/// [`alloc_count`] detects — not for use in committed assertions.
+/// Arms (or disarms) the calling thread's allocation trap: the **next**
+/// allocation or reallocation on this thread panics with a backtrace
+/// pointing at the allocation site, then the trap disarms itself (so the
+/// panic machinery can allocate freely). Other threads are unaffected. A
+/// debugging aid for hunting stray allocations that
+/// [`alloc_count_this_thread`] detects — not for use in committed
+/// assertions.
 pub fn trap_on_next_alloc(enable: bool) {
-    TRAP.store(enable, Ordering::SeqCst);
+    THREAD_TRAP.with(|t| t.set(enable));
 }
 
 /// Total heap allocations (including reallocations) observed so far.
@@ -75,7 +95,14 @@ pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Total bytes requested by those allocations.
+/// Heap allocations (including reallocations) made by the calling thread
+/// so far. Always zero unless the binary installed [`CountingAlloc`].
+#[must_use]
+pub fn alloc_count_this_thread() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Total bytes requested by all allocations ([`alloc_count`]).
 #[must_use]
 pub fn alloc_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)

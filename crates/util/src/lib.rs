@@ -25,6 +25,7 @@
 
 pub mod alloc_counter;
 pub mod bench;
+pub mod fnv;
 pub mod mailbox;
 pub mod pool;
 pub mod prop;
