@@ -2,16 +2,17 @@
 //! SHIFT, CIRC, RAND, AGE, MULT, Orinoco and the criticality-aware CRI
 //! variants.
 //!
-//! The matrix-based variants (AGE/MULT/Orinoco/CRI) drive a real
-//! [`AgeMatrix`]; SHIFT and CIRC derive order from (virtual) queue
-//! position; RAND is order-oblivious. All variants allocate entries from a
-//! free list except CIRC, whose gaps stay unusable until the head passes
-//! them — the capacity inefficiency of Figure 1(b).
+//! The AGE/MULT/CRI variants drive a real [`AgeMatrix`]; SHIFT and plain
+//! Orinoco rank ready entries by sequence number (for Orinoco that *is*
+//! the matrix age order, checked against a rebuilt matrix by
+//! `Core::debug_verify_commit_invariants`); CIRC derives order from
+//! (virtual) queue position; RAND is order-oblivious. All variants
+//! allocate entries from a free list except CIRC, whose gaps stay unusable
+//! until the head passes them — the capacity inefficiency of Figure 1(b).
 
 use crate::config::{Pool, SchedulerKind};
 use crate::rename::PhysReg;
 use orinoco_matrix::{AgeMatrix, BitVec64};
-use std::collections::VecDeque;
 
 /// An instruction resident in the IQ.
 #[derive(Clone, Debug)]
@@ -22,8 +23,8 @@ pub struct IqEntry {
     pub pool: Pool,
     /// Criticality tag (CRI schedulers).
     pub critical: bool,
-    /// Dynamic sequence number (used by the position-based schedulers and
-    /// for assertions; the matrix schedulers never consult it).
+    /// Dynamic sequence number (the age order of SHIFT and plain Orinoco;
+    /// the matrix schedulers never consult it).
     pub seq: u64,
     /// Source physical registers.
     pub srcs: [Option<PhysReg>; 2],
@@ -73,9 +74,9 @@ pub struct IssueQueue {
     /// only ever sets `src_ready`.
     waiters: Vec<Vec<(usize, u8, u64)>>,
     /// Compact per-slot copy of the occupant's sequence number
-    /// (`u64::MAX` when empty): the per-cycle select walk tests pair
-    /// staleness against this dense array instead of dereferencing the
-    /// wide `IqEntry` slots.
+    /// (`u64::MAX` when empty): the per-cycle seq sort of the ready set
+    /// reads this dense array instead of dereferencing the wide `IqEntry`
+    /// slots.
     seq_of: Vec<u64>,
     /// One bit per slot: the occupant's issue-gating sources are all
     /// ready (mirrors [`IqEntry::is_ready`], updated at allocation and
@@ -85,27 +86,11 @@ pub struct IssueQueue {
     /// three mutation sites (allocate, remove, wake-up) so the per-cycle
     /// request-vector probe is O(1) instead of a popcount scan.
     nready: usize,
-    /// Dispatch-order view as `(slot, generation)` pairs, maintained for
-    /// the plain Orinoco scheduler only: without criticality adjustment
-    /// the matrix age order *is* the dispatch order, so the full-width
-    /// age ranking of the select stage reduces to a walk over this
-    /// deque. Pairs go stale — and are skipped lazily — once the slot is
-    /// freed or recycled (same scheme as `Rob::order`). The generation
-    /// (rather than the occupant's seq) is what makes staleness
-    /// unambiguous: a squash + refetch re-dispatches the *same* dynamic
-    /// instruction, and the LIFO free list can hand back the *same*
-    /// slot, recreating an identical `(slot, seq)` pair next to its
-    /// stale twin — but never an identical `(slot, generation)` pair.
-    order: VecDeque<(usize, u64)>,
-    /// Per-slot allocation counter backing `order`'s staleness test.
-    gen_of: Vec<u64>,
     // Reusable scratch for the per-cycle select path (allocation-free in
     // steady state; see DESIGN.md §"Performance engineering").
-    scratch_ready: Vec<usize>,
     scratch_order: Vec<usize>,
     scratch_part: Vec<usize>,
     scratch_req: BitVec64,
-    scratch_cands: Vec<(u64, usize)>,
 }
 
 impl IssueQueue {
@@ -128,13 +113,9 @@ impl IssueQueue {
             seq_of: vec![u64::MAX; cap],
             ready_bits: BitVec64::new(cap),
             nready: 0,
-            order: VecDeque::with_capacity(cap * 2),
-            gen_of: vec![0; cap],
-            scratch_ready: Vec::with_capacity(cap),
             scratch_order: Vec::with_capacity(cap),
             scratch_part: Vec::with_capacity(cap),
             scratch_req: BitVec64::new(cap),
-            scratch_cands: Vec::with_capacity(cap),
         }
     }
 
@@ -196,7 +177,6 @@ impl IssueQueue {
             self.kind,
             SchedulerKind::Age
                 | SchedulerKind::Mult
-                | SchedulerKind::Orinoco
                 | SchedulerKind::CriAge
                 | SchedulerKind::CriOrinoco
         )
@@ -220,25 +200,9 @@ impl IssueQueue {
             if entry.critical && self.kind.uses_criticality() {
                 self.age.dispatch_critical(slot, &self.cri);
                 self.cri.set(slot);
-            } else if self.kind == SchedulerKind::Orinoco {
-                // Plain Orinoco never reads the matrix in release — both
-                // the ranking and the fused select walk the dispatch
-                // deque — so the row/column writes are debug-only oracle
-                // maintenance (see `AgeMatrix::dispatch_lazy`).
-                self.age.dispatch_lazy(slot);
             } else {
                 self.age.dispatch(slot);
             }
-        }
-        if self.kind == SchedulerKind::Orinoco {
-            // Lazily compact stale pairs once they dominate; live pairs
-            // never exceed `cap`, so the push below fits afterwards.
-            if self.order.len() >= self.cap * 2 {
-                let (slots, gen_of) = (&self.slots, &self.gen_of);
-                self.order.retain(|&(s, g)| slots[s].is_some() && gen_of[s] == g);
-            }
-            self.gen_of[slot] = self.gen_of[slot].wrapping_add(1);
-            self.order.push_back((slot, self.gen_of[slot]));
         }
         let srcs = entry.srcs;
         let src_ready = entry.src_ready;
@@ -389,7 +353,6 @@ impl IssueQueue {
                 self.age.free(slot);
             }
             self.seq_of[slot] = u64::MAX;
-            self.gen_of[slot] = 0;
         }
         self.free.clear();
         self.free.extend((0..self.cap).rev());
@@ -404,54 +367,38 @@ impl IssueQueue {
         }
         self.ready_bits.clear_all();
         self.nready = 0;
-        self.order.clear();
     }
 
     fn circ_position(&self, slot: usize) -> usize {
         (slot + self.cap - self.head) % self.cap
     }
 
-    /// Fills `scratch_req` with the given slots.
-    fn fill_req(&mut self, slots: &[usize]) {
-        self.scratch_req.clear_all();
-        for &s in slots {
-            self.scratch_req.set(s);
-        }
-    }
-
     /// Priority-ordered ready slots for this cycle, per the scheduler
     /// variant, written into `out` (head granted first). `part` is extra
     /// scratch for the CriAge class partition. Allocation-free once the
     /// scratch vectors have grown to capacity.
-    fn priority_order_into(
-        &mut self,
-        ready: &[usize],
-        out: &mut Vec<usize>,
-        part: &mut Vec<usize>,
-    ) {
+    fn priority_order_into(&mut self, out: &mut Vec<usize>, part: &mut Vec<usize>) {
         out.clear();
         match self.kind {
-            SchedulerKind::Shift => {
-                // Collapsible queue: position == age; ideal order.
-                out.extend_from_slice(ready);
-                out.sort_unstable_by_key(|&s| self.slots[s].as_ref().map(|e| e.seq));
-            }
+            // SHIFT: collapsible queue, position == age; ideal order.
+            // Orinoco: without criticality adjustment the matrix age order
+            // is the dispatch order, which is seq-ascending.
+            SchedulerKind::Shift | SchedulerKind::Orinoco => self.ready_by_seq_into(out),
             SchedulerKind::Circ => {
-                out.extend_from_slice(ready);
+                out.extend(self.ready_bits.iter_ones());
                 out.sort_unstable_by_key(|&s| self.circ_position(s));
             }
             SchedulerKind::Rand => {
                 // Genuinely random in terms of age.
-                out.extend_from_slice(ready);
+                out.extend(self.ready_bits.iter_ones());
                 self.shuffle(out);
             }
             SchedulerKind::Age => {
-                self.fill_req(ready);
-                let oldest = self.age.select_single_oldest(&self.scratch_req);
+                let oldest = self.age.select_single_oldest(&self.ready_bits);
                 if let Some(o) = oldest {
                     out.push(o);
                 }
-                out.extend(ready.iter().copied().filter(|&s| Some(s) != oldest));
+                out.extend(self.ready_bits.iter_ones().filter(|&s| Some(s) != oldest));
                 let head = usize::from(oldest.is_some());
                 self.shuffle(&mut out[head..]);
             }
@@ -462,7 +409,7 @@ impl IssueQueue {
                 let mut nheads = 0;
                 for pool in Pool::ALL {
                     self.scratch_req.clear_all();
-                    for &s in ready {
+                    for s in self.ready_bits.iter_ones() {
                         if self.slots[s].as_ref().is_some_and(|e| e.pool == pool) {
                             self.scratch_req.set(s);
                         }
@@ -473,33 +420,14 @@ impl IssueQueue {
                     }
                 }
                 out.extend_from_slice(&heads[..nheads]);
-                out.extend(
-                    ready.iter().copied().filter(|s| !heads[..nheads].contains(s)),
-                );
+                out.extend(self.ready_bits.iter_ones().filter(|s| !heads[..nheads].contains(s)));
                 self.shuffle(&mut out[nheads..]);
-            }
-            SchedulerKind::Orinoco => {
-                // Without criticality adjustment the matrix age order is
-                // the dispatch order, so the full ready ranking is a walk
-                // over the dispatch deque — O(live) instead of the
-                // O(ready × words) bit-count rank plus sort. Equivalence
-                // with the matrix path is pinned by
-                // `orinoco_walk_matches_matrix_ranking`. Staleness is a
-                // generation compare (see the `order` field docs), so a
-                // recycled slot can never match twice.
-                let gen_of = &self.gen_of;
-                let ready_bits = &self.ready_bits;
-                out.extend(self.order.iter().filter_map(|&(s, g)| {
-                    (gen_of[s] == g && ready_bits.get(s)).then_some(s)
-                }));
-                debug_assert_eq!(out.len(), ready.len(), "walk missed a ready entry");
             }
             SchedulerKind::CriAge | SchedulerKind::CriOrinoco => {
                 // Full (criticality-adjusted) age order from the bit count
                 // encoding. For CriAge the intra-class pseudo-ordering is
                 // applied below.
-                self.fill_req(ready);
-                self.age.select_oldest_into(&self.scratch_req, self.cap, out);
+                self.age.select_oldest_into(&self.ready_bits, self.cap, out);
                 if self.kind == SchedulerKind::CriAge {
                     // CRI w/ AGE: criticals before non-criticals, but within
                     // each class only the single oldest is age-accurate; the
@@ -521,21 +449,9 @@ impl IssueQueue {
     }
 
     /// Selects and removes up to `width` ready instructions, honouring
-    /// per-pool FU budgets (decremented in place). Returns
-    /// `(slot, entry)` pairs in grant order.
-    pub fn select(
-        &mut self,
-        pool_budget: &mut [usize; 4],
-        width: usize,
-    ) -> Vec<(usize, IqEntry)> {
-        let mut grants = Vec::new();
-        self.select_into(pool_budget, width, &mut grants);
-        grants
-    }
-
-    /// Like [`IssueQueue::select`], but appends the grants to a
-    /// caller-provided buffer (cleared first) instead of allocating. This
-    /// is the hot path used by the pipeline every cycle.
+    /// per-pool FU budgets (decremented in place). The `(slot, entry)`
+    /// grants land in the caller-provided buffer (cleared first) in grant
+    /// order. This is the hot path used by the pipeline every cycle.
     pub fn select_into(
         &mut self,
         pool_budget: &mut [usize; 4],
@@ -543,75 +459,13 @@ impl IssueQueue {
         grants: &mut Vec<(usize, IqEntry)>,
     ) {
         grants.clear();
-        if self.kind == SchedulerKind::Orinoco {
-            self.select_orinoco_into(pool_budget, width, grants);
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        let mut order = std::mem::take(&mut self.scratch_order);
-        let mut part = std::mem::take(&mut self.scratch_part);
-        ready.clear();
-        ready.extend(self.ready_bits.iter_ones());
-        if !ready.is_empty() {
-            self.priority_order_into(&ready, &mut order, &mut part);
-            for &slot in &order {
-                if grants.len() == width {
-                    break;
-                }
-                let pool = self.slots[slot].as_ref().expect("ready slot live").pool;
-                if pool_budget[pool.idx()] == 0 {
-                    continue;
-                }
-                pool_budget[pool.idx()] -= 1;
-                let entry = self.remove(slot);
-                grants.push((slot, entry));
-            }
-        }
-        self.scratch_ready = ready;
-        self.scratch_order = order;
-        self.scratch_part = part;
-    }
-
-    /// The fused Orinoco select: without criticality adjustment the
-    /// matrix age order *is* the dispatch order, and live dispatch order
-    /// is strictly seq-ascending (fetch numbers in order, wrong-path
-    /// synthetics start above `1 << 62` and only grow, squashes remove
-    /// suffixes and re-inject in seq order). So the age ranking of the
-    /// ready set is just its seq sort: collect the ready slots from the
-    /// bit vector (`nready` of them, typically a handful) and
-    /// `sort_unstable` — no deque walk over the whole resident
-    /// population, no matrix rank scan. The dispatch deque stays as the
-    /// debug oracle below and for the ranking used by tests.
-    fn select_orinoco_into(
-        &mut self,
-        pool_budget: &mut [usize; 4],
-        width: usize,
-        grants: &mut Vec<(usize, IqEntry)>,
-    ) {
         if self.nready == 0 {
             return;
         }
-        let mut cands = std::mem::take(&mut self.scratch_cands);
-        cands.clear();
-        cands.extend(self.ready_bits.iter_ones().map(|s| (self.seq_of[s], s)));
-        debug_assert_eq!(cands.len(), self.nready, "ready count out of sync");
-        cands.sort_unstable();
-        #[cfg(debug_assertions)]
-        {
-            // The seq sort must reproduce the dispatch-deque order — the
-            // ascending-seq invariant, checked allocation-free on every
-            // select (the alloc_free test runs this path).
-            let mut deque = self
-                .order
-                .iter()
-                .filter(|&&(s, g)| self.gen_of[s] == g && self.ready_bits.get(s))
-                .map(|&(s, _)| s);
-            for &(_, s) in &cands {
-                debug_assert_eq!(deque.next(), Some(s), "seq sort diverged from dispatch order");
-            }
-            debug_assert_eq!(deque.next(), None, "walk missed a ready entry");
-        }
-        for &(_, slot) in &cands {
+        let mut order = std::mem::take(&mut self.scratch_order);
+        let mut part = std::mem::take(&mut self.scratch_part);
+        self.priority_order_into(&mut order, &mut part);
+        for &slot in &order {
             if grants.len() == width {
                 break;
             }
@@ -623,17 +477,31 @@ impl IssueQueue {
             let entry = self.remove(slot);
             grants.push((slot, entry));
         }
-        self.scratch_cands = cands;
+        self.scratch_order = order;
+        self.scratch_part = part;
+    }
+
+    /// The ready slots oldest first by sequence number, written into
+    /// `out` (cleared first) — the whole age order of SHIFT and plain
+    /// Orinoco. Live dispatch order is strictly seq-ascending (fetch
+    /// numbers in order, wrong-path synthetics start above `1 << 62` and
+    /// only grow, squashes remove suffixes and re-inject in seq order), so
+    /// for Orinoco this seq sort equals the paper's bit-count ranking of
+    /// the ready set; `Core::debug_verify_commit_invariants` checks it
+    /// against an [`AgeMatrix`] rebuilt from the ROB's dispatch order.
+    pub fn ready_by_seq_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.ready_bits.iter_ones());
+        out.sort_unstable_by_key(|&s| self.seq_of[s]);
     }
 
     /// The full priority ranking of the currently-ready slots, without
-    /// removing anything (test oracle for the fused select path).
+    /// removing anything (test oracle for the select path).
     #[cfg(test)]
     fn priority_ranking(&mut self) -> Vec<usize> {
-        let ready: Vec<usize> = self.ready_bits.iter_ones().collect();
         let mut out = Vec::new();
         let mut part = Vec::new();
-        self.priority_order_into(&ready, &mut out, &mut part);
+        self.priority_order_into(&mut out, &mut part);
         out
     }
 }
@@ -662,6 +530,16 @@ mod tests {
         [n; 4]
     }
 
+    fn select(
+        iq: &mut IssueQueue,
+        budget: &mut [usize; 4],
+        width: usize,
+    ) -> Vec<(usize, IqEntry)> {
+        let mut grants = Vec::new();
+        iq.select_into(budget, width, &mut grants);
+        grants
+    }
+
     fn fill(iq: &mut IssueQueue, seqs: &[u64]) -> Vec<usize> {
         seqs.iter()
             .map(|&q| iq.allocate(entry(q as usize, q, Pool::Int)).unwrap())
@@ -683,7 +561,7 @@ mod tests {
     fn orinoco_selects_multiple_oldest() {
         let mut iq = IssueQueue::new(SchedulerKind::Orinoco, 16);
         fill(&mut iq, &[0, 1, 2, 3, 4]);
-        let grants = iq.select(&mut budgets(8), 3);
+        let grants = select(&mut iq, &mut budgets(8), 3);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(iq.len(), 2);
@@ -694,8 +572,8 @@ mod tests {
         // A precise exception or replay squashes from the offender's own
         // seq and refetches it: the same dynamic instruction re-enters the
         // IQ with the same seq, and the LIFO free list hands back the same
-        // slot — recreating a (slot, seq) pair whose stale twin is still
-        // in the Orinoco dispatch deque. The walk must not grant it twice.
+        // slot — recreating a (slot, seq) pair identical to the one just
+        // squashed. The select must grant it exactly once.
         let mut iq = IssueQueue::new(SchedulerKind::Orinoco, 8);
         let slots = fill(&mut iq, &[0, 1, 2]);
         // Squash seqs >= 1 (youngest first, as squash_ge walks).
@@ -704,7 +582,7 @@ mod tests {
         // Refetch: same seqs, and the free list returns the same slots.
         assert_eq!(iq.allocate(entry(1, 1, Pool::Int)), Some(slots[1]));
         assert_eq!(iq.allocate(entry(2, 2, Pool::Int)), Some(slots[2]));
-        let grants = iq.select(&mut budgets(8), 8);
+        let grants = select(&mut iq, &mut budgets(8), 8);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert!(iq.is_empty());
@@ -717,8 +595,8 @@ mod tests {
         let mut b = IssueQueue::new(SchedulerKind::Orinoco, 16);
         fill(&mut a, &[0, 1, 2, 3, 4, 5]);
         fill(&mut b, &[0, 1, 2, 3, 4, 5]);
-        let ga: Vec<u64> = a.select(&mut budgets(2), 4).iter().map(|(_, e)| e.seq).collect();
-        let gb: Vec<u64> = b.select(&mut budgets(2), 4).iter().map(|(_, e)| e.seq).collect();
+        let ga: Vec<u64> = select(&mut a, &mut budgets(2), 4).iter().map(|(_, e)| e.seq).collect();
+        let gb: Vec<u64> = select(&mut b, &mut budgets(2), 4).iter().map(|(_, e)| e.seq).collect();
         assert_eq!(ga, gb);
     }
 
@@ -737,7 +615,7 @@ mod tests {
     #[test]
     fn age_prioritises_only_single_oldest() {
         let mut iq = churned(SchedulerKind::Age);
-        let grants = iq.select(&mut budgets(8), 2);
+        let grants = select(&mut iq, &mut budgets(8), 2);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         // The oldest (seq 1) is always first; the second grant is a random
         // pick among the remaining ready entries.
@@ -752,7 +630,7 @@ mod tests {
         iq.allocate(entry(1, 1, Pool::Mem)).unwrap();
         iq.allocate(entry(2, 2, Pool::Int)).unwrap();
         iq.allocate(entry(3, 3, Pool::Mem)).unwrap();
-        let grants = iq.select(&mut budgets(8), 2);
+        let grants = select(&mut iq, &mut budgets(8), 2);
         let mut seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         seqs.sort_unstable();
         // The per-pool heads are seq 0 (Int) and seq 1 (Mem).
@@ -766,7 +644,7 @@ mod tests {
         let mut oldest_wins = 0;
         for _ in 0..32 {
             let mut iq = churned(SchedulerKind::Rand);
-            let grants = iq.select(&mut budgets(8), 1);
+            let grants = select(&mut iq, &mut budgets(8), 1);
             if grants[0].1.seq == 1 {
                 oldest_wins += 1;
             }
@@ -782,7 +660,7 @@ mod tests {
         iq.allocate(entry(2, 2, Pool::Int)).unwrap();
         let mut b = budgets(8);
         b[Pool::Mem.idx()] = 1;
-        let grants = iq.select(&mut b, 4);
+        let grants = select(&mut iq, &mut b, 4);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         // Only one Mem grant (the older), Int unaffected.
         assert_eq!(seqs, vec![0, 2]);
@@ -793,7 +671,7 @@ mod tests {
     fn width_constrains_grants() {
         let mut iq = IssueQueue::new(SchedulerKind::Orinoco, 16);
         fill(&mut iq, &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(iq.select(&mut budgets(8), 2).len(), 2);
+        assert_eq!(select(&mut iq, &mut budgets(8), 2).len(), 2);
     }
 
     #[test]
@@ -802,7 +680,7 @@ mod tests {
         iq.allocate(entry(0, 0, Pool::Int)).unwrap(); // non-critical, oldest
         iq.allocate(entry(1, 1, Pool::Int)).unwrap(); // non-critical
         iq.allocate(crit_entry(2, 2)).unwrap(); // critical, youngest
-        let grants = iq.select(&mut budgets(8), 2);
+        let grants = select(&mut iq, &mut budgets(8), 2);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         // Critical first despite being youngest, then oldest non-critical.
         assert_eq!(seqs, vec![2, 0]);
@@ -816,7 +694,7 @@ mod tests {
         iq.allocate(crit_entry(2, 2)).unwrap();
         iq.remove(s0);
         assert_eq!(iq.allocate(crit_entry(3, 3)).unwrap(), s0);
-        let grants = iq.select(&mut budgets(8), 3);
+        let grants = select(&mut iq, &mut budgets(8), 3);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         // The single oldest critical (seq 1) is age-accurate; the rest are
         // a random permutation of the remaining criticals.
@@ -858,7 +736,7 @@ mod tests {
     fn circ_selects_in_position_order() {
         let mut iq = IssueQueue::new(SchedulerKind::Circ, 8);
         fill(&mut iq, &[5, 6, 7]);
-        let grants = iq.select(&mut budgets(8), 2);
+        let grants = select(&mut iq, &mut budgets(8), 2);
         let seqs: Vec<u64> = grants.iter().map(|(_, e)| e.seq).collect();
         assert_eq!(seqs, vec![5, 6]);
     }
@@ -881,7 +759,7 @@ mod tests {
         e.srcs = [Some(PhysReg(9)), None];
         iq.allocate(e).unwrap();
         iq.allocate(entry(1, 1, Pool::Int)).unwrap();
-        let grants = iq.select(&mut budgets(8), 4);
+        let grants = select(&mut iq, &mut budgets(8), 4);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].1.seq, 1);
     }
@@ -900,7 +778,7 @@ mod tests {
             e.srcs = [Some(PhysReg(5)), None];
             iq.allocate(e).unwrap();
             fill(&mut iq, &[1, 2, 3]);
-            let _ = iq.select(&mut budgets(8), 2);
+            let _ = select(&mut iq, &mut budgets(8), 2);
             iq.reset();
             let mut fresh = IssueQueue::new(kind, 8).with_regs(64);
             assert_eq!(iq.len(), 0);
@@ -914,9 +792,9 @@ mod tests {
                 );
             }
             let ga: Vec<u64> =
-                iq.select(&mut budgets(8), 8).iter().map(|(_, e)| e.seq).collect();
+                select(&mut iq, &mut budgets(8), 8).iter().map(|(_, e)| e.seq).collect();
             let gb: Vec<u64> =
-                fresh.select(&mut budgets(8), 8).iter().map(|(_, e)| e.seq).collect();
+                select(&mut fresh, &mut budgets(8), 8).iter().map(|(_, e)| e.seq).collect();
             assert_eq!(ga, gb, "{kind:?} grant order diverged");
         }
     }
@@ -939,12 +817,12 @@ mod tests {
         assert_eq!(iq.ready_count(), 0);
     }
 
-    /// The dispatch-order walk of the plain Orinoco scheduler selects the
+    /// The seq-sort ranking of the plain Orinoco scheduler selects the
     /// same slots in the same order as the matrix bit-count ranking
     /// (CriOrinoco with no critical entries is exactly that matrix path),
     /// across random allocate/remove churn that recycles slots.
     #[test]
-    fn orinoco_walk_matches_matrix_ranking() {
+    fn orinoco_seq_order_matches_matrix_ranking() {
         let mut rng = 0x5EED_0123_4567_89ABu64;
         let mut next = move || {
             rng ^= rng >> 12;
@@ -952,40 +830,37 @@ mod tests {
             rng ^= rng >> 27;
             rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        let mut walk = IssueQueue::new(SchedulerKind::Orinoco, 16);
+        let mut by_seq = IssueQueue::new(SchedulerKind::Orinoco, 16);
         let mut matrix = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
         let mut live: Vec<usize> = Vec::new();
         let mut seq = 0u64;
         for _ in 0..2000 {
             if !live.is_empty() && next() % 3 == 0 {
                 let victim = live.swap_remove((next() % live.len() as u64) as usize);
-                walk.remove(victim);
+                by_seq.remove(victim);
                 matrix.remove(victim);
-            } else if walk.has_space() {
+            } else if by_seq.has_space() {
                 let e = entry(seq as usize, seq, Pool::Int);
-                let sw = walk.allocate(e.clone()).unwrap();
+                let sw = by_seq.allocate(e.clone()).unwrap();
                 let sm = matrix.allocate(e).unwrap();
                 assert_eq!(sw, sm, "free lists diverged");
                 live.push(sw);
                 seq += 1;
             }
-            let gw: Vec<u64> =
-                walk.select(&mut budgets(0), usize::MAX).iter().map(|(_, e)| e.seq).collect();
-            let gm: Vec<u64> =
-                matrix.select(&mut budgets(0), usize::MAX).iter().map(|(_, e)| e.seq).collect();
-            assert!(gw.is_empty() && gm.is_empty(), "zero budget still granted");
-            let ow = walk.priority_ranking();
+            assert!(select(&mut by_seq, &mut budgets(0), usize::MAX).is_empty());
+            assert!(select(&mut matrix, &mut budgets(0), usize::MAX).is_empty());
+            let ow = by_seq.priority_ranking();
             let om = matrix.priority_ranking();
-            assert_eq!(ow, om, "walk order diverged from matrix age ranking");
+            assert_eq!(ow, om, "seq order diverged from matrix age ranking");
         }
     }
 
-    /// The fused Orinoco select (deque walk, no ranking pass) grants the
-    /// same slots in the same order as the generic select driven by the
-    /// matrix ranking (CriOrinoco with no critical entries), including
-    /// under pool-budget skips and partial widths.
+    /// The Orinoco select (seq sort of the ready set) grants the same
+    /// slots in the same order as the select driven by the matrix ranking
+    /// (CriOrinoco with no critical entries), including under pool-budget
+    /// skips and partial widths.
     #[test]
-    fn fused_orinoco_select_matches_generic_path() {
+    fn orinoco_select_matches_matrix_select() {
         let mut rng = 0xFACE_FEED_0BAD_F00Du64;
         let mut next = move || {
             rng ^= rng >> 12;
@@ -993,16 +868,16 @@ mod tests {
             rng ^= rng >> 27;
             rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        let mut fused = IssueQueue::new(SchedulerKind::Orinoco, 16);
-        let mut generic = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
+        let mut by_seq = IssueQueue::new(SchedulerKind::Orinoco, 16);
+        let mut matrix = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
         let mut seq = 0u64;
         for round in 0..500 {
-            while fused.has_space() && next() % 4 != 0 {
+            while by_seq.has_space() && next() % 4 != 0 {
                 let pool = if next() % 2 == 0 { Pool::Int } else { Pool::Mem };
                 let e = entry(seq as usize, seq, pool);
                 assert_eq!(
-                    fused.allocate(e.clone()),
-                    generic.allocate(e),
+                    by_seq.allocate(e.clone()),
+                    matrix.allocate(e),
                     "free lists diverged"
                 );
                 seq += 1;
@@ -1014,10 +889,10 @@ mod tests {
             }
             let mut bg = bf;
             let gf: Vec<u64> =
-                fused.select(&mut bf, width).iter().map(|(_, e)| e.seq).collect();
+                select(&mut by_seq, &mut bf, width).iter().map(|(_, e)| e.seq).collect();
             let gg: Vec<u64> =
-                generic.select(&mut bg, width).iter().map(|(_, e)| e.seq).collect();
-            assert_eq!(gf, gg, "fused grants diverged from generic path");
+                select(&mut matrix, &mut bg, width).iter().map(|(_, e)| e.seq).collect();
+            assert_eq!(gf, gg, "seq-sort grants diverged from matrix path");
             assert_eq!(bf, bg, "budget consumption diverged");
         }
     }

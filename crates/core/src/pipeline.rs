@@ -2,7 +2,7 @@
 //! wakeup/select → execute → writeback → commit, with configurable issue
 //! schedulers (Figure 14), commit policies (Figure 15) and Table 1 sizing.
 
-use crate::config::{exec_latency, is_unpipelined, CommitKind, CoreConfig, Pool};
+use crate::config::{exec_latency, is_unpipelined, CommitKind, CoreConfig, Pool, SchedulerKind};
 use crate::crit::CriticalityEngine;
 use crate::exec::{Event, EventKind, EventQueue, FuBank};
 use crate::fetch::{Fetched, FetchUnit};
@@ -12,7 +12,7 @@ use crate::rename::RenameUnit;
 use crate::rob::{Rob, RobEntry};
 use crate::stats::SimStats;
 use orinoco_isa::{DynInst, Emulator, InstClass, Opcode};
-use orinoco_matrix::{BitVec64, LockdownMatrix, LockdownTable};
+use orinoco_matrix::{AgeMatrix, BitVec64, CommitScheduler, LockdownMatrix, LockdownTable};
 use orinoco_mem::{AccessKind, HitLevel, MemorySystem};
 use orinoco_stats::{Resource, StallCause};
 use orinoco_trace::{TraceEventKind, Tracer, STALL_SEQ};
@@ -354,15 +354,11 @@ impl Core {
             .scheduler
             .uses_criticality()
             .then(CriticalityEngine::new);
-        let mut rob = Rob::new(cfg.rob_entries);
-        // Only the Orinoco grant scan pops the completion heap; leave the
-        // feed off under policies that would let it grow without bound.
-        rob.set_completion_heap_tracking(cfg.commit == CommitKind::Orinoco);
         Self {
             fetch: FetchUnit::new(src, &cfg),
             fq: VecDeque::new(),
             rename: RenameUnit::new(cfg.phys_regs),
-            rob,
+            rob: Rob::new(cfg.rob_entries),
             iqs: if cfg.split_iq {
                 cfg.split_iq_capacities()
                     .into_iter()
@@ -821,32 +817,97 @@ impl Core {
         self.chaos_spec_flip.is_none() && self.spec_dispatched > 0
     }
 
-    /// Naive O(n²) cross-check of the unordered-commit invariants,
-    /// independent of the matrix logic (integration tests): every entry
-    /// the commit scheduler currently grants must have **no older live
-    /// speculative instruction**, and the ROB's order bookkeeping must be
-    /// self-consistent.
+    /// Release-mode oracle for the age order of both non-collapsible
+    /// queues (tests and campaigns; O(n²), allocates).
+    ///
+    /// The ROB and the plain Orinoco IQ each keep one order mechanism —
+    /// the ROB's dispatch-deque walk, the IQ's seq sort of its ready set.
+    /// This check replays the live state into the paper's matrices and
+    /// demands identical answers:
+    ///
+    /// * the live dispatch order is strictly seq-ascending (the premise
+    ///   both mechanisms rest on);
+    /// * a [`CommitScheduler`] rebuilt by dispatching the live ROB
+    ///   entries in deque order with their `SPEC` bits grants exactly the
+    ///   walk's commit set (over the depth window when `commit_depth` is
+    ///   set), and agrees on whether any grant exists;
+    /// * for each Orinoco IQ, an [`AgeMatrix`] rebuilt over its resident
+    ///   slots in ROB dispatch order ranks the ready set exactly like the
+    ///   seq sort;
+    /// * independently of any matrix, every entry granted commit is
+    ///   completed, on the correct path, and has no older live speculative
+    ///   instruction.
     ///
     /// # Panics
     ///
-    /// Panics if any granted entry has an older live entry that is still
-    /// possibly-excepting/misspeculating, or the order state is corrupt.
+    /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn debug_verify_commit_invariants(&self) {
-        // The matrix-backed cross-checks need the lazily-dispatched age
-        // matrix, which only debug builds maintain; the seq/SPEC-based
-        // O(n²) invariant below stays live in release oracle runs.
-        #[cfg(debug_assertions)]
-        {
-            self.rob.assert_order_consistent();
-            assert_eq!(
-                self.rob.grants_orinoco_depth(self.cfg.commit_width, self.cfg.commit_depth),
-                self.rob.grants_orinoco_matrix(self.cfg.commit_width, self.cfg.commit_depth),
-                "walk-based commit grants diverged from the matrix scan",
-            );
+        let (width, depth) = (self.cfg.commit_width, self.cfg.commit_depth);
+        let n = self.rob.physical_capacity();
+        let mut live = Vec::new();
+        self.rob.live_in_order_into(&mut live);
+        assert_eq!(
+            live.len(),
+            self.rob.len() + self.rob.zombie_count(),
+            "ROB dispatch deque does not hold every live entry",
+        );
+        for w in live.windows(2) {
+            let (a, b) = (self.rob.entry(w[0]).seq, self.rob.entry(w[1]).seq);
+            assert!(a < b, "dispatch order not seq-ascending: seq {a} before seq {b}");
         }
-        let live = self.rob.in_order(self.rob.capacity());
-        for idx in self.rob.grants_orinoco(usize::MAX) {
+
+        let mut sched = CommitScheduler::new(n);
+        let mut completed = BitVec64::new(n);
+        let mut window = BitVec64::new(n);
+        let mut in_window = 0usize;
+        for &i in &live {
+            let e = self.rob.entry(i);
+            sched.dispatch(i, !self.rob.is_safe_self(i));
+            completed.assign(i, e.completed);
+            let in_depth = match depth {
+                None => true,
+                Some(d) => !e.retired && in_window < d,
+            };
+            if in_depth {
+                window.assign(i, e.completed);
+                in_window += 1;
+            }
+        }
+        let mut want = Vec::new();
+        sched.commit_grants_into(&window, width, &mut BitVec64::new(n), &mut want);
+        let mut got = Vec::new();
+        self.rob.grants_orinoco_into(width, depth, &mut got);
+        assert_eq!(got, want, "deque-walk commit grants diverged from the commit matrix");
+        assert_eq!(
+            self.rob.any_grant_orinoco(),
+            sched.any_commit_grant(&completed),
+            "deque-walk grant test diverged from the commit matrix",
+        );
+
+        for (q, iq) in self.iqs.iter().enumerate() {
+            if iq.kind() != SchedulerKind::Orinoco {
+                continue;
+            }
+            let mut age = AgeMatrix::new(iq.capacity());
+            for &i in &live {
+                match self.rob.entry(i).iq_slot {
+                    Some((qi, slot)) if qi == q => age.dispatch(slot),
+                    _ => {}
+                }
+            }
+            assert_eq!(age.occupancy(), iq.len(), "IQ {q} residents missing from the ROB");
+            let mut by_seq = Vec::new();
+            iq.ready_by_seq_into(&mut by_seq);
+            let ready = BitVec64::from_indices(iq.capacity(), by_seq.iter().copied());
+            let mut ranked = Vec::new();
+            age.select_oldest_into(&ready, iq.capacity(), &mut ranked);
+            assert_eq!(by_seq, ranked, "IQ {q} seq order diverged from the age matrix");
+        }
+
+        let mut granted = Vec::new();
+        self.rob.grants_orinoco_into(usize::MAX, None, &mut granted);
+        for &idx in &granted {
             let g = self.rob.entry(idx);
             assert!(g.completed, "granted entry seq {} not completed", g.seq);
             assert!(!g.wrong_path, "granted entry seq {} is wrong-path", g.seq);
@@ -860,22 +921,6 @@ impl Core {
                 );
             }
         }
-    }
-
-    /// Debug probe: the head instruction's `(class, completed, safe_self,
-    /// issued)` state, for bottleneck analysis in the harness.
-    #[doc(hidden)]
-    pub fn debug_head_state(&mut self) -> Option<(InstClass, bool, bool, bool)> {
-        let h = self.rob.head()?;
-        let e = self.rob.entry(h);
-        Some((e.class, e.completed, self.rob.is_safe_self(h), e.issued))
-    }
-
-    /// Debug probe: number of ROB entries that currently satisfy every
-    /// out-of-order commit condition.
-    #[doc(hidden)]
-    pub fn debug_committable(&self) -> usize {
-        self.rob.grants_orinoco(usize::MAX).len()
     }
 
     /// Injects a remote coherence invalidation for `addr` (the multicore
@@ -1697,8 +1742,7 @@ impl Core {
 
     fn commit_orinoco(&mut self, ooo_ready_known: &mut Option<bool>) -> usize {
         let mut grants = std::mem::take(&mut self.scratch_commit);
-        self.rob
-            .grants_orinoco_depth_hot(self.cfg.commit_width, self.cfg.commit_depth, &mut grants);
+        self.rob.grants_orinoco_into(self.cfg.commit_width, self.cfg.commit_depth, &mut grants);
         if self.cfg.commit_depth.is_none() {
             // Valid on zero-commit cycles only, which is the only time the
             // caller consults it (commits mutate the ROB underneath).
@@ -1716,7 +1760,6 @@ impl Core {
                 // Stores leave the SQ in FIFO order and need SB space.
                 let head_ok = self.lsq.sq_head_rob_idx() == Some(idx);
                 if !head_ok || self.sb.len() >= self.cfg.sq_entries {
-                    self.rob.regrant(idx);
                     continue;
                 }
             }
@@ -1728,7 +1771,6 @@ impl Core {
                 if !self.scratch_older_np.is_zero() {
                     let Some(row) = self.ldt_free.pop() else {
                         self.cyc_ldt_full = true;
-                        self.rob.regrant(idx);
                         continue; // LDT full: retry next cycle
                     };
                     let line = mem_addr.expect("load without address") / 64;

@@ -110,7 +110,7 @@ fn run_checked(mut core: Core, max_cycles: u64) -> (u64, Vec<orinoco_core::Commi
 fn never_commits_past_unresolved_older_speculative() {
     let mut rng = Rng::seed_from_u64(0x1217_0001);
     type ConfigMaker = fn() -> CoreConfig;
-    let configs: [(&str, ConfigMaker); 5] = [
+    let configs: [(&str, ConfigMaker); 7] = [
         ("orinoco-base", || {
             CoreConfig::base()
                 .with_scheduler(SchedulerKind::Orinoco)
@@ -144,6 +144,23 @@ fn never_commits_past_unresolved_older_speculative() {
                     .with_commit(CommitKind::Orinoco),
             )
             .with_commit_depth(8)
+        }),
+        // Post-commit execution: retired zombies stay in the ROB's
+        // dispatch deque (BR retires unresolved branches, whose SPEC bits
+        // still block younger grants), and the oracle sees them too.
+        ("vb-tiny", || {
+            tiny(
+                CoreConfig::base()
+                    .with_scheduler(SchedulerKind::Orinoco)
+                    .with_commit(CommitKind::Vb),
+            )
+        }),
+        ("br-tiny", || {
+            tiny(
+                CoreConfig::base()
+                    .with_scheduler(SchedulerKind::Orinoco)
+                    .with_commit(CommitKind::Br),
+            )
         }),
     ];
     for trial in 0..4 {

@@ -18,7 +18,10 @@
 //!   area by ~40% for the evaluated configuration.
 //!
 //! Both are exercised by the test-suite and checked equivalent by property
-//! tests in the crate's `tests/` tree.
+//! tests in the crate's `tests/` tree. The simulator core does not keep a
+//! [`CommitScheduler`] on its hot path: its ROB walks a dispatch-order
+//! deque against a plain `SPEC` vector, and rebuilds this scheduler from
+//! that deque as the release-mode oracle the walk is checked against.
 
 use crate::{AgeMatrix, BitMatrix, BitVec64};
 
@@ -179,20 +182,6 @@ impl CommitScheduler {
     /// Panics if `slot` is live or out of bounds.
     pub fn dispatch(&mut self, slot: usize, speculative: bool) {
         self.age.dispatch(slot);
-        self.spec.assign(slot, speculative);
-    }
-
-    /// [`CommitScheduler::dispatch`] via [`AgeMatrix::dispatch_lazy`]: for
-    /// callers whose hot path derives commit grants from an external age
-    /// order (the ROB's order deque) and reads only the `VLD`/`SPEC`
-    /// vectors. Release builds skip the age-matrix row/column maintenance;
-    /// debug builds keep the matrix exact for the oracle cross-checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is live or out of bounds.
-    pub fn dispatch_lazy(&mut self, slot: usize, speculative: bool) {
-        self.age.dispatch_lazy(slot);
         self.spec.assign(slot, speculative);
     }
 
@@ -394,18 +383,6 @@ impl CommitScheduler {
             .position(|&s| !completed.get(s) || self.spec.get(s))
             .unwrap_or(out.len());
         out.truncate(stop);
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = Vec::new();
-            for s in self.age.valid_in_age_order().into_iter().take(limit) {
-                if completed.get(s) && !self.spec.get(s) {
-                    reference.push(s);
-                } else {
-                    break;
-                }
-            }
-            assert_eq!(*out, reference, "in-order grant bucketing diverged from age order");
-        }
     }
 
     /// When nothing can commit, the head of the machine is the oldest

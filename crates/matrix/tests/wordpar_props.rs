@@ -116,6 +116,8 @@ fn word_parallel_selects_match_oracles_at_boundaries() {
             let mut sorted = want.clone();
             sorted.sort_unstable();
             assert_eq!(mask.iter_ones().collect::<Vec<_>>(), sorted, "n={n} width={width}");
+            reference.sort_unstable();
+            assert_eq!(mask.iter_ones().collect::<Vec<_>>(), reference, "n={n} width={width}");
 
             assert_eq!(
                 age.select_single_oldest(&req),
@@ -216,6 +218,109 @@ fn word_parallel_commit_grants_match_model_at_boundaries() {
                 .take_while(|&s| completed[s] && !spec[s])
                 .collect();
             assert_eq!(in_order, want_ioc, "n={n} width={width}");
+        }
+    });
+}
+
+/// How a dispatch writes its row in [`mixed_history`].
+#[derive(Clone, Copy)]
+enum Dispatch {
+    /// Everything valid is older (the plain `dispatch`).
+    Total,
+    /// Criticality dispatch: criticals outrank every non-critical.
+    Critical,
+    /// A random subset of the valid entries is older (partial order).
+    Masked,
+}
+
+/// Drives `age` through dispatch/free histories whose rows come from the
+/// given dispatch style. Returns the matrix and, for the total orders,
+/// the model rank key per slot (`(class, dispatch time)`, lowest oldest);
+/// partial orders have no total model.
+fn mixed_history(
+    rng: &mut Rng,
+    n: usize,
+    style: Dispatch,
+) -> (AgeMatrix, Vec<Option<(u8, u64)>>) {
+    let mut age = AgeMatrix::new(n);
+    let mut cri = BitVec64::new(n);
+    let mut key: Vec<Option<(u8, u64)>> = vec![None; n];
+    let mut next = 0u64;
+    for _ in 0..rng.gen_range(1..3 * n) {
+        let slot = rng.gen_range(0..n);
+        if key[slot].is_some() {
+            if rng.gen_range(0..3u32) == 0 {
+                age.free(slot);
+                cri.clear(slot);
+                key[slot] = None;
+            }
+            continue;
+        }
+        let class = match style {
+            Dispatch::Total => {
+                age.dispatch(slot);
+                1
+            }
+            Dispatch::Critical => {
+                if rng.gen::<bool>() {
+                    age.dispatch_critical(slot, &cri);
+                    cri.set(slot);
+                    0
+                } else {
+                    age.dispatch(slot);
+                    1
+                }
+            }
+            Dispatch::Masked => {
+                let older = BitVec64::from_indices(
+                    n,
+                    age.valid().iter_ones().filter(|_| rng.gen::<bool>()),
+                );
+                age.dispatch_masked(slot, &older);
+                1
+            }
+        };
+        key[slot] = Some((class, next));
+        next += 1;
+    }
+    (age, key)
+}
+
+/// The word-parallel `select_oldest_into` and `grant_mask_into` equal
+/// their scalar `_ref` oracle on every matrix shape the schedulers build:
+/// plain, criticality-adjusted (CRI) and partial (`dispatch_masked`, where
+/// rank ties force the `_ref` fallback) orders, at boundary capacities.
+/// The total orders also match the explicit rank model.
+#[test]
+fn word_parallel_selects_match_ref_on_critical_and_partial_orders() {
+    prop::check("wordpar_select_cri_partial", 0x30D2, |rng| {
+        for n in CAPS {
+            for style in [Dispatch::Total, Dispatch::Critical, Dispatch::Masked] {
+                let (age, key) = mixed_history(rng, n, style);
+                let req = random_request(rng, n);
+                let width = rng.gen_range(0..10usize);
+
+                let mut got = Vec::new();
+                age.select_oldest_into(&req, width, &mut got);
+                let mut reference = Vec::new();
+                age.select_oldest_into_ref(&req, width, &mut reference);
+                assert_eq!(got, reference, "n={n} width={width}");
+
+                let mut mask = BitVec64::new(n);
+                age.grant_mask_into(&req, width, &mut mask);
+                reference.sort_unstable();
+                assert_eq!(mask.iter_ones().collect::<Vec<_>>(), reference, "n={n} width={width}");
+
+                if !matches!(style, Dispatch::Masked) {
+                    let mut ranked: Vec<((u8, u64), usize)> = (0..n)
+                        .filter(|&s| req.get(s))
+                        .filter_map(|s| key[s].map(|k| (k, s)))
+                        .collect();
+                    ranked.sort_unstable();
+                    let want: Vec<usize> = ranked.into_iter().map(|(_, s)| s).take(width).collect();
+                    assert_eq!(got, want, "n={n} width={width}");
+                }
+            }
         }
     });
 }
